@@ -25,6 +25,7 @@ from .errors import (
     TooFew,
     TooFewPoints,
     TooSmall,
+    Unreadable,
 )
 from .factor import FactorModel, OscReport, cumulative_variance, fit, run_osc, select_dimension
 from .kmeans import ClusterResult, KMeansConfig, kmeans, write_objective_trace
@@ -61,7 +62,7 @@ __all__ = [
     "AllZero", "ConstantRow", "Empty", "InfeasibleDims", "LabelLengthMismatch",
     "LabelsRequired", "LengthMismatch", "MalformedRow", "NonFinite",
     "NotEnoughCategories", "NotSymmetric", "OscError", "TooFew", "TooFewPoints",
-    "TooSmall",
+    "TooSmall", "Unreadable",
     "DataMatrix", "StandardizedView", "validate", "standardize",
     "load_matrix", "load_labels",
     "SpectralDecomposition", "eigendecompose_symmetric",

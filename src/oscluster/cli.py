@@ -2,13 +2,18 @@
 
 Subcommands: cluster, sweep, subset, bench, validate-theorem, metrics.
 Exit codes: 0 success, 1 structured data/numeric error (error name printed on
-one line), 2 usage error. All file output stays inside --out-dir.
+one line, an unreadable input file included), 2 usage error. All file output
+stays inside --out-dir.
+
+`cluster` writes report.json, one run record in the schema of the studies'
+per-run.jsonl lines (see `oscluster.experiments`) plus the resolved `config`,
+and trace.csv. sweep, subset and bench write report.json, per-run.jsonl and
+table.csv.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -17,6 +22,7 @@ from .errors import OscError
 from .experiments import (
     BASELINE_NAMES,
     ExperimentConfig,
+    RunRecord,
     bench_runtime,
     subset_robustness,
     sweep_theta,
@@ -37,8 +43,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
     try:
-        with _thread_cap(getattr(args, "threads", None)):
-            return args.handler(args)
+        return args.handler(args)
     except OscError as exc:
         print(f"{exc.name}: {exc}", file=sys.stderr)
         return 1
@@ -131,8 +136,6 @@ def _add_common_flags(p, include_theta=True, include_restarts=True):
         p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default=DEFAULT_OUT_DIR)
-    p.add_argument("--threads", type=int, default=None,
-                   help="cap numeric worker threads (needs threadpoolctl)")
     p.add_argument("-v", "--verbose", action="count", default=0)
 
 
@@ -141,7 +144,7 @@ def _cmd_cluster(args) -> int:
     cfg = KMeansConfig(k=args.k, max_iter=args.max_iter, tol=args.tol,
                        restarts=args.restarts, seed=args.seed)
     report = run_osc(data, args.theta, args.k, cfg)
-    payload = report.to_dict()
+    payload = RunRecord.from_osc(report, "cluster", {}).to_dict()
     payload["config"] = _resolved_config(args)
     os.makedirs(args.out_dir, exist_ok=True)
     _write_json(os.path.join(args.out_dir, "report.json"), payload)
@@ -212,7 +215,7 @@ def _cmd_validate_theorem(args) -> int:
     print(json.dumps(_round6(verdict.to_dict()), indent=2))
     if args.n_grid:
         study = error_decay_study(model, tuple(args.n_grid),
-                                  args.decay_trials or args.trials, m=None)
+                                  args.decay_trials or args.trials, m=m)
         with open(os.path.join(args.out_dir, "decay.csv"), "w", encoding="utf-8") as fh:
             fh.write(study.to_delimited())
         print(f"decay slope={_g6(study.slope)} "
@@ -268,21 +271,6 @@ def _resolved_config(args) -> dict:
             value = list(value)
         out[key] = value
     return out
-
-
-@contextlib.contextmanager
-def _thread_cap(threads):
-    if threads is None:
-        yield
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        print("warning: threadpoolctl unavailable, --threads ignored", file=sys.stderr)
-        yield
-        return
-    with threadpool_limits(limits=threads):
-        yield
 
 
 def _write_json(path, payload) -> None:

@@ -39,6 +39,10 @@ class MalformedRow(OscError):
     """A delimited-text row could not be parsed."""
 
 
+class Unreadable(OscError):
+    """An input file could not be opened or read (missing, a directory, ...)."""
+
+
 class ConstantRow(OscError):
     """One or more sample rows have zero variance and cannot be standardized."""
 

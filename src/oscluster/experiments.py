@@ -1,11 +1,12 @@
 """Reproduction harness: threshold sweep, category-subset robustness,
 and runtime benchmarking against two internal baselines.
 
-Every individual run gets a derived seed (cfg.seed + 100003 * cell_index +
-repeat_index), each run is persisted as one JSONL record, and aggregate cells
-are recomputed from those records so a report can always be re-derived from
-what was written to disk. Repeats could run concurrently; records are keyed
-by run index so aggregation does not depend on completion order.
+Every run gets a derived seed (cfg.seed + 100003 * cell_index + repeat_index)
+and one RunRecord, whose `to_dict` is the run schema of both per-run.jsonl
+lines and the `cluster` subcommand's report.json. `ExperimentReport.write`
+writes report.json, per-run.jsonl and table.csv. Aggregate cells are
+recomputed from the records, keyed by run id, so a report can always be
+re-derived from what was written to disk, whatever the completion order.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import numpy as np
 
 from . import __version__
 from .errors import LabelsRequired, NotEnoughCategories
-from .factor import fit, run_osc
-from .kmeans import KMeansConfig, kmeans, write_objective_trace
-from .matrix import DataMatrix, standardize, validate as validate_matrix
+from .factor import OscReport, run_osc
+from .kmeans import KMeansConfig, kmeans
+from .matrix import DataMatrix, validate as validate_matrix
 from .metrics import evaluate
 
 SEED_STRIDE = 100003
@@ -63,20 +64,58 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One clustering run; the unit persisted to per-run.jsonl."""
+    """One clustering run, OSC or baseline: its result, id and setting.
+
+    Baseline records leave the pipeline-only fields null (see OscReport).
+    """
 
     run_id: str
     setting: dict
-    seed: int
-    metrics: dict
-    m: int | None
-    timings_ms: dict
-    objective_trace: tuple
+    osc: OscReport
+
+    @classmethod
+    def from_osc(cls, osc: OscReport, run_id: str, setting: dict) -> RunRecord:
+        """The one builder of run records, for pipeline and baseline runs."""
+        return cls(run_id=run_id, setting=setting, osc=osc)
+
+    @property
+    def metrics(self) -> dict:
+        """ACC, NMI and ARI by name; empty when the data has no labels."""
+        m = self.osc.metrics
+        return {} if m is None else {"acc": m.acc, "nmi": m.nmi, "ari": m.ari}
+
+    @property
+    def timings_ms(self) -> dict:
+        return self.osc.timings_ms
+
+    @property
+    def objective_trace(self) -> np.ndarray:
+        return self.osc.clustering.objective_trace
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["objective_trace"] = list(self.objective_trace)
-        return d
+        """The run schema; `metrics` is present only when the data has labels."""
+        osc, km = self.osc, self.osc.clustering
+        out = {
+            "run_id": self.run_id,
+            "setting": self.setting,
+            "dataset": osc.dataset,
+            "N": osc.n,
+            "p": osc.p,
+            "theta0": osc.theta0,
+            "m": osc.m,
+            "theta_of_m": osc.theta_of_m,
+            "timings_ms": dict(osc.timings_ms),
+            "kmeans": {
+                "iters": km.iterations,
+                "objective_trace": [float(v) for v in km.objective_trace],
+                "restart_index": km.restart_index,
+                "rng": km.rng_algorithm,
+            },
+            "seed": osc.seed,
+        }
+        if osc.metrics is not None:
+            out["metrics"] = self.metrics
+        return out
 
 
 @dataclass
@@ -89,6 +128,13 @@ class ExperimentReport:
     cells: list = field(default_factory=list)
     runs: list = field(default_factory=list)
 
+    def add_cell(self, cell: dict, records: list) -> dict:
+        """Keep `records` and append `cell` with the metrics aggregated over them."""
+        self.runs.extend(records)
+        cell.update(aggregate_metrics(records))
+        self.cells.append(cell)
+        return cell
+
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
@@ -98,6 +144,7 @@ class ExperimentReport:
         }
 
     def write(self, out_dir) -> None:
+        """Write report.json, per-run.jsonl and table.csv into `out_dir`."""
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh, indent=2)
@@ -105,12 +152,6 @@ class ExperimentReport:
         with open(os.path.join(out_dir, "per-run.jsonl"), "w", encoding="utf-8") as fh:
             for rec in self.runs:
                 fh.write(json.dumps(rec.to_dict()) + "\n")
-        for rec in self.runs:
-            if len(rec.objective_trace):
-                write_objective_trace(
-                    os.path.join(out_dir, f"trace-{rec.run_id}.csv"),
-                    rec.objective_trace,
-                )
         self._write_table(os.path.join(out_dir, "table.csv"))
 
     def _write_table(self, path) -> None:
@@ -142,22 +183,10 @@ def sweep_theta(data: DataMatrix, cfg: ExperimentConfig) -> ExperimentReport:
     for ci, theta0 in enumerate(cfg.theta_grid):
         records = []
         for rep in range(cfg.repeats):
-            seed = _derived_seed(cfg.seed, ci, rep)
-            osc = run_osc(data, theta0, cfg.k, _kmeans_cfg(cfg, seed))
-            rec = RunRecord(
-                run_id=f"theta{theta0:.2f}-rep{rep:02d}",
-                setting={"theta0": theta0, "repeat": rep},
-                seed=seed,
-                metrics=_metric_dict(osc.metrics),
-                m=osc.m,
-                timings_ms=dict(osc.timings_ms),
-                objective_trace=tuple(float(v) for v in osc.clustering.objective_trace),
-            )
-            records.append(rec)
-        report.runs.extend(records)
-        cell = {"theta0": theta0, "m": records[0].m}
-        cell.update(aggregate_metrics(records))
-        report.cells.append(cell)
+            osc = run_osc(data, theta0, cfg.k, _kmeans_cfg(cfg, ci, rep))
+            records.append(RunRecord.from_osc(osc, f"theta{theta0:.2f}-rep{rep:02d}",
+                                              {"theta0": theta0, "repeat": rep}))
+        report.add_cell({"theta0": theta0, "m": records[0].osc.m}, records)
     return report
 
 
@@ -175,9 +204,9 @@ def subset_robustness(data: DataMatrix, cfg: ExperimentConfig) -> ExperimentRepo
         )
     report = _new_report("subset_robustness", cfg)
     for ci, n_cat in enumerate(cfg.subset_category_counts):
+        n_cat = int(n_cat)
         records = []
         for rep in range(cfg.repeats):
-            seed = _derived_seed(cfg.seed, ci, rep)
             picker = np.random.default_rng([cfg.seed, ci, rep])
             chosen = picker.choice(classes, size=n_cat, replace=False)
             mask = np.isin(data.labels, chosen)
@@ -185,21 +214,13 @@ def subset_robustness(data: DataMatrix, cfg: ExperimentConfig) -> ExperimentRepo
                 data.values[mask], labels=data.labels[mask],
                 name=f"{data.name}-subset{n_cat}",
             )
-            osc = run_osc(subset, cfg.theta0, int(n_cat), _kmeans_cfg(cfg, seed))
-            records.append(RunRecord(
-                run_id=f"cats{n_cat:02d}-rep{rep:02d}",
-                setting={"categories": int(n_cat), "repeat": rep,
-                         "classes": [int(c) for c in np.sort(chosen)]},
-                seed=seed,
-                metrics=_metric_dict(osc.metrics),
-                m=osc.m,
-                timings_ms=dict(osc.timings_ms),
-                objective_trace=tuple(float(v) for v in osc.clustering.objective_trace),
+            osc = run_osc(subset, cfg.theta0, n_cat, _kmeans_cfg(cfg, ci, rep))
+            records.append(RunRecord.from_osc(
+                osc, f"cats{n_cat:02d}-rep{rep:02d}",
+                {"categories": n_cat, "repeat": rep,
+                 "classes": [int(c) for c in np.sort(chosen)]},
             ))
-        report.runs.extend(records)
-        cell = {"categories": int(n_cat), "k": int(n_cat)}
-        cell.update(aggregate_metrics(records))
-        report.cells.append(cell)
+        report.add_cell({"categories": n_cat, "k": n_cat}, records)
     return report
 
 
@@ -207,46 +228,32 @@ def bench_runtime(data: DataMatrix, cfg: ExperimentConfig) -> ExperimentReport:
     """Wall-clock comparison of the pipeline against the enabled baselines.
 
     raw-kmeans clusters the raw rows; pca-kmeans clusters the top-m
-    feature-space principal components with the same m the pipeline selects.
+    feature-space principal components with the same m the pipeline selects,
+    which the "osc" method, always run first, provides.
     """
     report = _new_report("bench_runtime", cfg)
-    methods = ("osc",) + tuple(cfg.baselines)
-    shared_m = None
-    for ci, method in enumerate(methods):
+    for ci, method in enumerate(("osc",) + tuple(cfg.baselines)):
         records = []
         for rep in range(cfg.repeats):
-            seed = _derived_seed(cfg.seed, ci, rep)
+            km_cfg = _kmeans_cfg(cfg, ci, rep)
             if method == "osc":
-                osc = run_osc(data, cfg.theta0, cfg.k, _kmeans_cfg(cfg, seed))
+                osc = run_osc(data, cfg.theta0, cfg.k, km_cfg)
                 shared_m = osc.m
-                rec = RunRecord(
-                    run_id=f"osc-rep{rep:02d}",
-                    setting={"method": "osc", "repeat": rep},
-                    seed=seed,
-                    metrics=_metric_dict(osc.metrics),
-                    m=osc.m,
-                    timings_ms=dict(osc.timings_ms),
-                    objective_trace=tuple(float(v) for v in osc.clustering.objective_trace),
-                )
             else:
-                if shared_m is None:
-                    shared_m = fit(standardize(data), cfg.theta0).m
-                rec = _run_baseline(data, method, shared_m, cfg, seed, rep)
-            records.append(rec)
-        report.runs.extend(records)
-        cell = {"method": method, "m": records[0].m}
-        cell.update(aggregate_metrics(records))
+                osc = _run_baseline(data, method, shared_m, km_cfg)
+            records.append(RunRecord.from_osc(osc, f"{method}-rep{rep:02d}",
+                                              {"method": method, "repeat": rep}))
+        cell = report.add_cell({"method": method, "m": records[0].osc.m}, records)
         cell.update(_aggregate_timings(records))
-        report.cells.append(cell)
     return report
 
 
 def aggregate_metrics(records) -> dict:
     """Mean and population SD per metric; recomputable from the records."""
     out = {}
-    names = sorted({k for rec in records for k in rec.metrics})
-    for name in names:
-        vals = np.array([rec.metrics[name] for rec in sorted(records, key=lambda r: r.run_id)])
+    per_run = [rec.metrics for rec in sorted(records, key=lambda r: r.run_id)]
+    for name in sorted({k for metrics in per_run for k in metrics}):
+        vals = np.array([metrics[name] for metrics in per_run])
         out[f"{name}_mean"] = float(vals.mean())
         out[f"{name}_sd"] = float(vals.std())
     wall = np.array([rec.timings_ms["total_ms"] for rec in records])
@@ -255,20 +262,16 @@ def aggregate_metrics(records) -> dict:
 
 
 def _aggregate_timings(records) -> dict:
-    out = {}
-    keys = sorted({k for rec in records for k in rec.timings_ms})
-    for key in keys:
-        vals = [rec.timings_ms.get(key) for rec in records]
-        vals = [v for v in vals if v is not None]
-        out[f"{key}_mean"] = float(np.mean(vals))
-    return out
+    """Mean of each stage timing; every record of a cell has the same stages."""
+    return {f"{key}_mean": float(np.mean([rec.timings_ms[key] for rec in records]))
+            for key in sorted(records[0].timings_ms)}
 
 
-def _run_baseline(data, method, m, cfg, seed, rep) -> RunRecord:
-    km_cfg = _kmeans_cfg(cfg, seed)
+def _run_baseline(data, method, m, km_cfg) -> OscReport:
+    """One baseline run, in the pipeline's result shape without its own fields."""
     t_all = time.perf_counter()
     if method == "raw-kmeans":
-        points = data.values
+        points, m = data.values, None
         prep_ms = 0.0
     else:  # pca-kmeans
         t0 = time.perf_counter()
@@ -280,34 +283,26 @@ def _run_baseline(data, method, m, cfg, seed, rep) -> RunRecord:
     result = kmeans(points, km_cfg)
     km_ms = (time.perf_counter() - t0) * 1e3
     total_ms = (time.perf_counter() - t_all) * 1e3
-    metrics = {}
-    if data.labels is not None:
-        metrics = _metric_dict(evaluate(data.labels, result.assignments))
-    return RunRecord(
-        run_id=f"{method}-rep{rep:02d}",
-        setting={"method": method, "repeat": rep},
-        seed=seed,
-        metrics=metrics,
-        m=m if method == "pca-kmeans" else None,
+    return OscReport(
+        dataset=data.name,
+        n=data.n_samples,
+        p=data.n_features,
+        theta0=None,
+        m=m,
+        theta_of_m=None,
         timings_ms={"prep_ms": prep_ms, "kmeans_ms": km_ms, "total_ms": total_ms},
-        objective_trace=tuple(float(v) for v in result.objective_trace),
+        clustering=result,
+        metrics=None if data.labels is None else evaluate(data.labels, result.assignments),
+        seed=km_cfg.seed,
     )
 
 
-def _kmeans_cfg(cfg: ExperimentConfig, seed: int) -> KMeansConfig:
+def _kmeans_cfg(cfg: ExperimentConfig, cell_index: int, repeat: int) -> KMeansConfig:
+    """Clustering knobs of one run, seeded cfg.seed + 100003 * cell + repeat."""
     return KMeansConfig(
-        k=cfg.k, max_iter=cfg.max_iter, tol=cfg.tol, restarts=cfg.restarts, seed=seed
+        k=cfg.k, max_iter=cfg.max_iter, tol=cfg.tol, restarts=cfg.restarts,
+        seed=cfg.seed + SEED_STRIDE * cell_index + repeat,
     )
-
-
-def _derived_seed(base: int, cell_index: int, repeat: int) -> int:
-    return base + SEED_STRIDE * cell_index + repeat
-
-
-def _metric_dict(metrics) -> dict:
-    if metrics is None:
-        return {}
-    return {"acc": metrics.acc, "nmi": metrics.nmi, "ari": metrics.ari}
 
 
 def _require_labels(data: DataMatrix) -> None:

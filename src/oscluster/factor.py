@@ -128,64 +128,32 @@ def fit(view: StandardizedView, theta0: float) -> FactorModel:
 
 @dataclass(frozen=True)
 class OscReport:
-    """End-to-end pipeline result with stage timings and optional metrics."""
+    """End-to-end pipeline result with stage timings and optional metrics.
+
+    The experiment baselines fill the same shape: `theta0` and `theta_of_m`
+    are None for them, and so is `m` for raw-kmeans.
+    """
 
     dataset: str
     n: int
     p: int
-    theta0: float
-    m: int
-    theta_of_m: float
+    theta0: float | None
+    m: int | None
+    theta_of_m: float | None
     timings_ms: dict
     clustering: ClusterResult
     metrics: MetricsReport | None
     seed: int
 
-    def to_dict(self) -> dict:
-        out = {
-            "dataset": self.dataset,
-            "N": self.n,
-            "p": self.p,
-            "theta0": self.theta0,
-            "m": self.m,
-            "theta_of_m": self.theta_of_m,
-            "timings_ms": dict(self.timings_ms),
-            "kmeans": {
-                "iters": self.clustering.iterations,
-                "objective_trace": [float(v) for v in self.clustering.objective_trace],
-                "restart_index": self.clustering.restart_index,
-                "rng": self.clustering.rng_algorithm,
-            },
-            "seed": self.seed,
-        }
-        if self.metrics is not None:
-            out["metrics"] = {
-                "acc": self.metrics.acc,
-                "nmi": self.metrics.nmi,
-                "ari": self.metrics.ari,
-            }
-        return out
 
-
-def run_osc(
-    data: DataMatrix,
-    theta0: float,
-    k: int,
-    kmeans_cfg: KMeansConfig | None = None,
-    seed: int = 0,
-) -> OscReport:
+def run_osc(data: DataMatrix, theta0: float, k: int, kmeans_cfg: KMeansConfig) -> OscReport:
     """Standardize, fit the factor embedding, and cluster its rows.
 
-    `k` always wins over `kmeans_cfg.k`; the config supplies the remaining
-    clustering knobs (restarts, tolerances, seed). When `kmeans_cfg` is None a
-    default config with the given seed is used. ACC/NMI/ARI are attached when
-    the data carries ground-truth labels.
+    `k` is the cluster count and replaces `kmeans_cfg.k`; the config supplies
+    every other clustering knob, the seed included. ACC/NMI/ARI are attached
+    when the data carries ground-truth labels.
     """
-    if kmeans_cfg is None:
-        kmeans_cfg = KMeansConfig(k=k, seed=seed)
-    else:
-        kmeans_cfg = replace(kmeans_cfg, k=k)
-
+    kmeans_cfg = replace(kmeans_cfg, k=k)
     t_all = time.perf_counter()
     t0 = time.perf_counter()
     view = standardize(data)

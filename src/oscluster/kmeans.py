@@ -52,7 +52,6 @@ class ClusterResult:
     centroids: np.ndarray
     objective_trace: np.ndarray
     iterations: int
-    seed_used: int
     restart_index: int
     rng_algorithm: str = RNG_ALGORITHM
 
@@ -89,7 +88,6 @@ def kmeans(points, cfg: KMeansConfig) -> ClusterResult:
         centroids=cents,
         objective_trace=trace,
         iterations=iters,
-        seed_used=int(cfg.seed),
         restart_index=r,
     )
 

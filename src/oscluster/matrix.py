@@ -19,6 +19,7 @@ from .errors import (
     MalformedRow,
     NonFinite,
     TooSmall,
+    Unreadable,
 )
 
 
@@ -59,8 +60,6 @@ class StandardizedView:
         Row means over the p features.
     sigma : (N,) ndarray
         Row standard deviations, unbiased (p - 1) divisor. Strictly positive.
-    d_inv : (N,) ndarray
-        Reciprocals 1 / sigma (diagonal of the inverse scale matrix).
     y : (p, N) ndarray
         Standardized matrix; column k is (row_k - mu_k) / sigma_k.
     r_samples : (N, N) ndarray
@@ -70,7 +69,6 @@ class StandardizedView:
 
     mu: np.ndarray
     sigma: np.ndarray
-    d_inv: np.ndarray
     y: np.ndarray
     r_samples: np.ndarray
 
@@ -149,11 +147,11 @@ def standardize(data: DataMatrix) -> StandardizedView:
     z = centered * d_inv[:, None]          # (N, p), standardized rows
     r = (z @ z.T) / (p - 1)
     r = (r + r.T) / 2.0                    # kill gemm roundoff asymmetry
-    for a in (mu, sigma, d_inv, r):
+    for a in (mu, sigma, r):
         a.setflags(write=False)
     y = z.T
     y.setflags(write=False)
-    return StandardizedView(mu=mu, sigma=sigma, d_inv=d_inv, y=y, r_samples=r)
+    return StandardizedView(mu=mu, sigma=sigma, y=y, r_samples=r)
 
 
 def load_matrix(path, name: str | None = None) -> np.ndarray:
@@ -164,9 +162,7 @@ def load_matrix(path, name: str | None = None) -> np.ndarray:
     float array; call validate() to obtain a DataMatrix.
     """
     rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8", newline=None) as fh:
-        lines = [ln.rstrip("\r\n") for ln in fh]
-    lines = [ln for ln in lines if ln.strip() != ""]
+    lines = [ln for ln in _read_lines(path) if ln.strip() != ""]
     if not lines:
         raise MalformedRow(f"{path}: empty file")
     start = 0
@@ -189,16 +185,27 @@ def load_matrix(path, name: str | None = None) -> np.ndarray:
 def load_labels(path) -> np.ndarray:
     """Read an integer label file, one label per line."""
     labels: list[int] = []
-    with open(path, "r", encoding="utf-8", newline=None) as fh:
-        for i, ln in enumerate(fh, start=1):
-            s = ln.strip()
-            if not s:
-                continue
-            try:
-                labels.append(int(s))
-            except ValueError:
-                raise MalformedRow(f"{path}:{i}: expected one integer per line") from None
+    for i, ln in enumerate(_read_lines(path), start=1):
+        s = ln.strip()
+        if not s:
+            continue
+        try:
+            labels.append(int(s))
+        except ValueError:
+            raise MalformedRow(f"{path}:{i}: expected one integer per line") from None
     return np.array(labels, dtype=int)
+
+
+def _read_lines(path) -> list[str]:
+    """Lines of a UTF-8 text file without their line endings.
+
+    Raises Unreadable when the file cannot be opened or read.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline=None) as fh:
+            return [ln.rstrip("\r\n") for ln in fh]
+    except OSError as exc:
+        raise Unreadable(f"{path}: {exc.strerror or exc}") from None
 
 
 def _is_number(s: str) -> bool:

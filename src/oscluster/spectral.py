@@ -32,7 +32,6 @@ class SpectralDecomposition:
 
     u: np.ndarray
     lam: np.ndarray
-    source_dim: int
 
 
 def eigendecompose_symmetric(a) -> SpectralDecomposition:
@@ -64,7 +63,7 @@ def eigendecompose_symmetric(a) -> SpectralDecomposition:
     np.maximum(w, 0.0, out=w)
     w.setflags(write=False)
     v.setflags(write=False)
-    return SpectralDecomposition(u=v, lam=w, source_dim=a.shape[0])
+    return SpectralDecomposition(u=v, lam=w)
 
 
 def _fix_signs(v: np.ndarray) -> np.ndarray:

@@ -177,7 +177,7 @@ def test_criterion_9_cli_determinism(tmp_path):
     np.savetxt(x_path, sample.y.T, delimiter=",")
     np.savetxt(y_path, sample.labels, fmt="%d")
     args = ["cluster", "--input", str(x_path), "--labels", str(y_path),
-            "--k", "3", "--theta", "0.85", "--seed", "31337", "--threads", "1"]
+            "--k", "3", "--theta", "0.85", "--seed", "31337"]
     assert cli_main(args + ["--out-dir", str(tmp_path / "r1")]) == 0
     assert cli_main(args + ["--out-dir", str(tmp_path / "r2")]) == 0
     p1 = json.loads((tmp_path / "r1" / "report.json").read_text())

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oscluster.cli import main
-from oscluster.subspace_lab import SubspaceModel, generate
+from oscluster.subspace_lab import SubspaceModel, error_decay_study, generate
 
 
 @pytest.fixture
@@ -162,6 +162,48 @@ def test_validate_theorem_with_decay(tmp_path):
     decay = (tmp_path / "lab" / "decay.csv").read_text().strip().split("\n")
     assert decay[0] == "n,cross_block_max,within_offdiag_max"
     assert len(decay) == 3
+
+
+def test_validate_theorem_decay_uses_m(tmp_path):
+    out = tmp_path / "lab"
+    code = main(["validate-theorem", "--p", "30", "--k", "2", "--dims", "2,2",
+                 "--sizes", "20,20", "--sigmas", "0.05,0.1", "--m", "6",
+                 "--trials", "3", "--n-grid", "40,80", "--seed", "5",
+                 "--out-dir", str(out)])
+    assert code == 0
+    model = SubspaceModel(p=30, k=2, subspace_dims=(2, 2), cluster_sizes=(20, 20),
+                          noise_sigmas=(0.05, 0.1), seed=5)
+    assert model.union_dim < 6
+    expected = error_decay_study(model, (40, 80), 3, m=6).to_delimited()
+    assert (out / "decay.csv").read_text() == expected
+
+
+@pytest.mark.parametrize("missing", ["--input", "--labels"])
+def test_missing_input_file_is_one_line_error(dataset, capsys, missing):
+    x, y, tmp = dataset
+    paths = {"--input": x, "--labels": y, missing: str(tmp / "absent.csv")}
+    code = main(["cluster", "--input", paths["--input"], "--labels", paths["--labels"],
+                 "--k", "3", "--out-dir", str(tmp / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("Unreadable: ")
+    assert "Traceback" not in err
+
+
+def test_cluster_report_has_the_run_record_schema(dataset):
+    x, y, tmp = dataset
+    assert main(["cluster", "--input", x, "--labels", y, "--k", "3",
+                 "--out-dir", str(tmp / "c")]) == 0
+    assert main(["sweep", "--input", x, "--labels", y, "--k", "3",
+                 "--theta-grid", "0.85", "--repeats", "1", "--out-dir", str(tmp / "s")]) == 0
+    assert main(["bench", "--input", x, "--labels", y, "--k", "3", "--repeats", "1",
+                 "--out-dir", str(tmp / "b")]) == 0
+    report = json.loads((tmp / "c" / "report.json").read_text())
+    records = [json.loads(line) for name in ("s", "b")
+               for line in (tmp / name / "per-run.jsonl").read_text().splitlines()]
+    assert len(records) == 4    # one sweep run, then osc, raw-kmeans and pca-kmeans
+    for record in records:
+        assert set(report) - {"config"} == set(record)
 
 
 def test_validate_theorem_infeasible_dims_exit_one(tmp_path, capsys):

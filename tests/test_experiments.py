@@ -173,6 +173,7 @@ def test_report_files(tmp_path, rng):
     assert len(lines) == 2
     rec = json.loads(lines[0])
     assert {"run_id", "setting", "seed", "metrics", "m", "timings_ms"} <= set(rec)
-    assert (tmp_path / f"trace-{rec['run_id']}.csv").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "per-run.jsonl", "report.json", "table.csv"]
     table = (tmp_path / "table.csv").read_text().strip().split("\n")
     assert len(table) == 2 and table[0].startswith("theta0,")

@@ -11,6 +11,7 @@ from oscluster import (
     standardize,
     validate,
 )
+from oscluster.experiments import RunRecord
 
 
 def test_cumulative_variance_examples():
@@ -129,8 +130,8 @@ def test_run_osc_separable_duplicates():
 
 def test_run_osc_report_shape(rng):
     x = rng.normal(size=(16, 12))
-    report = run_osc(validate(x, name="toy"), 0.8, 2, seed=5)
-    d = report.to_dict()
+    report = run_osc(validate(x, name="toy"), 0.8, 2, KMeansConfig(k=2, seed=5))
+    d = RunRecord.from_osc(report, "toy", {}).to_dict()
     assert d["dataset"] == "toy"
     assert d["N"] == 16 and d["p"] == 12
     assert d["m"] == report.m
@@ -145,7 +146,7 @@ def test_run_osc_report_shape(rng):
 def test_run_osc_deterministic(rng):
     x = rng.normal(size=(25, 10))
     data = validate(x, labels=rng.integers(0, 3, size=25))
-    r1 = run_osc(data, 0.85, 3, seed=77)
-    r2 = run_osc(data, 0.85, 3, seed=77)
+    r1 = run_osc(data, 0.85, 3, KMeansConfig(k=3, seed=77))
+    r2 = run_osc(data, 0.85, 3, KMeansConfig(k=3, seed=77))
     assert r1.metrics.acc == r2.metrics.acc
     assert np.array_equal(r1.clustering.assignments, r2.clustering.assignments)
